@@ -177,7 +177,7 @@ class LazyUpdate:
     publisher: str
     epoch: int  # publisher-local counter of lazy propagations
     csn: int  # publisher's commit sequence number at snapshot time
-    snapshot: Any
+    snapshot: Any  # immutable: one multicast copy serves every receiver
     published_at: Optional[float] = None
 
 

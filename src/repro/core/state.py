@@ -2,13 +2,13 @@
 
 A replica hosts one :class:`ReplicatedObject`.  Update methods mutate it;
 read-only methods observe it; the lazy-propagation machinery moves whole
-snapshots from the primary group to the secondary group, so objects must be
-snapshot/restore-able.  Example applications live in :mod:`repro.apps`.
+snapshots from the primary group to the secondary group, so application
+state must be picklable.  Example applications live in :mod:`repro.apps`.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from typing import Any
 
 
@@ -17,9 +17,10 @@ class ReplicatedObject:
 
     Subclasses implement ``invoke`` for both reads and updates; the
     middleware, not the object, decides which methods are read-only (via
-    the client's read-only registry, §2).  The default snapshot/restore
-    deep-copies ``__dict__``, which suits small objects; large apps can
-    override with something smarter.
+    the client's read-only registry, §2).  A snapshot is opaque,
+    immutable bytes (``__dict__`` pickled), so one multicast lazy update or
+    state transfer can be shared by every receiver without aliasing; the
+    only requirement on subclasses is that their state pickles.
     """
 
     def invoke(self, method: str, args: tuple) -> Any:
@@ -31,14 +32,18 @@ class ReplicatedObject:
             )
         return handler(*args)
 
-    def snapshot(self) -> Any:
-        """An opaque, self-contained copy of the current state."""
-        return copy.deepcopy(self.__dict__)
+    def snapshot(self) -> bytes:
+        """An opaque, immutable, self-contained copy of the current state."""
+        return pickle.dumps(self.__dict__, pickle.HIGHEST_PROTOCOL)
 
-    def restore(self, snapshot: Any) -> None:
-        """Replace the current state with a snapshot."""
+    def restore(self, snapshot: bytes) -> None:
+        """Replace the current state with a snapshot.
+
+        ``snapshot`` must come from :meth:`snapshot` in this program:
+        restoring unpickles it.
+        """
         self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(snapshot))
+        self.__dict__.update(pickle.loads(snapshot))
 
 
 class CounterObject(ReplicatedObject):

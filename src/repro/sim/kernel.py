@@ -18,11 +18,11 @@ callers:
   once they dominate, so timer-heavy protocols (deadline timers that are
   almost always cancelled) never pay heap-log cost for dead entries and
   the heap cannot grow without bound between pops;
+* heap entries are ``(time, priority, seq, event)`` tuples, so ``heapq``
+  orders them with C tuple comparison (``seq`` is unique, so the event
+  itself is never compared);
 * the pop loop binds its hot attributes to locals and skips tombstones
-  without re-entering the heap API;
-* fired events whose objects are no longer referenced anywhere else are
-  recycled through a small free list, cutting per-event allocation in
-  event-dense runs.
+  without re-entering the heap API.
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from typing import Any, Callable, Optional
 
 # Compaction triggers when tombstones exceed this count AND this fraction
 # of the heap; the count floor keeps tiny heaps from compacting constantly.
 _COMPACT_MIN_TOMBSTONES = 64
 _COMPACT_RATIO = 0.5
-
-# Upper bound on recycled Event objects kept per simulator.
-_FREE_LIST_MAX = 1024
 
 
 class SimulationError(RuntimeError):
@@ -50,10 +46,12 @@ class Event:
     """A scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at` and may be cancelled before they fire.
-    Ordering is by ``(time, priority, seq)``: ties in time are broken first
+    :meth:`Simulator.schedule_at` and may be cancelled before they fire;
+    an event is the handle callers keep for :meth:`cancel`.  The simulator
+    orders them by ``(time, priority, seq)``: ties in time are broken first
     by an explicit priority (lower fires earlier) and then by scheduling
-    order, which keeps runs reproducible.
+    order, which keeps runs reproducible.  ``_sim`` is cleared when the
+    event fires, so only a pending event counts as a tombstone.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "_sim")
@@ -76,19 +74,13 @@ class Event:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
+        """Prevent the event from firing.  Safe to call more than once, and
+        a no-op for the simulator's accounting once the event has fired."""
         if not self.cancelled:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
                 sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -112,14 +104,14 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        # Entries are (time, priority, seq, event); seq is unique.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
         self._processed = 0
         self._tombstones = 0
         self._compactions = 0
-        self._free: list[Event] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -181,18 +173,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past (now={self._now}, requested={time})"
             )
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, priority, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, priority, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def schedule_batch(
@@ -208,10 +191,9 @@ class Simulator:
         produce whole arrival vectors at once (the aggregated client
         tier).  Semantics match ``[schedule_at(t, callback, *args) for t
         in times]`` exactly — same validation, same ``(time, priority,
-        seq)`` ordering with seq assigned in input order, same free-list
-        reuse — but the heap is grown with one ``extend`` + ``heapify``
-        (O(n + m)) instead of m pushes (O(m log n)) once the batch is
-        large relative to the heap.
+        seq)`` ordering with seq assigned in input order — but the heap
+        is grown with one ``extend`` + ``heapify`` (O(n + m)) instead of
+        m pushes (O(m log n)) once the batch is large relative to the heap.
 
         ``args_list``, when given, supplies one args tuple per time;
         otherwise every event fires ``callback()``.
@@ -229,29 +211,22 @@ class Simulator:
                 raise SimulationError(
                     f"cannot schedule in the past (now={now}, requested={t})"
                 )
-        free = self._free
-        seq = self._seq
+        seqs = self._seq
         events: list[Event] = []
+        entries = []
         for i, t in enumerate(times):
             args = args_list[i] if args_list is not None else ()
-            if free:
-                event = free.pop()
-                event.time = t
-                event.priority = priority
-                event.seq = next(seq)
-                event.callback = callback
-                event.args = args
-                event.cancelled = False
-            else:
-                event = Event(t, priority, next(seq), callback, args, self)
+            seq = next(seqs)
+            event = Event(t, priority, seq, callback, args, self)
             events.append(event)
+            entries.append((t, priority, seq, event))
         heap = self._heap
-        if len(events) * 8 >= len(heap):
-            heap.extend(events)
+        if len(entries) * 8 >= len(heap):
+            heap.extend(entries)
             heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(heap, event)
+            for entry in entries:
+                heapq.heappush(heap, entry)
         return events
 
     # ------------------------------------------------------------------
@@ -267,38 +242,12 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify (O(n))."""
-        live = [event for event in self._heap if not event.cancelled]
-        free = self._free
-        for event in self._heap:
-            # Same aliasing guard as _recycle: 3 = loop local + list slot +
-            # getrefcount argument; more means a client still holds it.
-            if (
-                event.cancelled
-                and len(free) < _FREE_LIST_MAX
-                and sys.getrefcount(event) <= 3
-            ):
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                free.append(event)
-        self._heap = live
-        heapq.heapify(live)
+        """Drop cancelled events from the heap in place and re-heapify (O(n))."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
         self._tombstones = 0
         self._compactions += 1
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/cancelled event to the free list if nothing else
-        can reach it.
-
-        ``sys.getrefcount`` sees the caller's local, our argument binding,
-        and the getrefcount argument itself; anything above that means a
-        client kept a handle (e.g. to ``cancel()`` later) and the object
-        must not be reused.
-        """
-        if len(self._free) < _FREE_LIST_MAX and sys.getrefcount(event) <= 3:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            self._free.append(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -318,19 +267,16 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while heap and not self._stopped:
-                event = heap[0]
-                if until is not None and event.time > until:
+                if until is not None and heap[0][0] > until:
                     break
-                heappop(heap)
+                time, _, _, event = heappop(heap)
                 if event.cancelled:
                     self._tombstones -= 1
-                    self._recycle(event)
                     continue
-                self._now = event.time
+                event._sim = None  # fired: a late cancel() changes no counts
+                self._now = time
                 self._processed += 1
                 event.callback(*event.args)
-                self._recycle(event)
-                heap = self._heap  # _compact may have swapped the list
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -339,16 +285,16 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event.  Returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, event = heapq.heappop(heap)
             if event.cancelled:
                 self._tombstones -= 1
-                self._recycle(event)
                 continue
-            self._now = event.time
+            event._sim = None
+            self._now = time
             self._processed += 1
             event.callback(*event.args)
-            self._recycle(event)
             return True
         return False
 

@@ -27,13 +27,62 @@ def test_invoke_non_callable_attribute_raises():
         CounterObject().invoke("value", ())
 
 
-def test_snapshot_restore_round_trip():
-    a, b = CounterObject(), CounterObject()
-    a.increment()
-    a.increment()
+def _counter_updates(app):
+    app.increment()
+    app.add(5)
+
+
+def _kvstore_updates(app):
+    app.put("x", [1, 2])
+    app.put("y", {"nested": ["z"]})
+    app.delete("x")
+    app.put(f"k{app.mutations()}", [app.size()])  # not idempotent
+
+
+def _document_updates(app):
+    app.append_paragraph("first")
+    app.append_paragraph("second")
+    app.replace_paragraph(0, "revised")
+
+
+def _ticker_updates(app):
+    app.tick("A", 10.0)
+    app.tick("A", 11.0)
+    app.tick("B", 5.0)
+
+
+APPS = [
+    pytest.param(CounterObject, _counter_updates, id="counter"),
+    pytest.param(KVStore, _kvstore_updates, id="kvstore"),
+    pytest.param(SharedDocument, _document_updates, id="document"),
+    pytest.param(StockTicker, _ticker_updates, id="ticker"),
+]
+
+
+@pytest.mark.parametrize("app_cls, updates", APPS)
+def test_snapshot_restore_round_trip(app_cls, updates):
+    a, b = app_cls(), app_cls()
+    updates(a)
     b.restore(a.snapshot())
-    assert b.value == 2
-    assert b.history == [1, 2]
+    assert vars(b) == vars(a)
+    assert b.snapshot() == a.snapshot()
+
+
+@pytest.mark.parametrize("app_cls, updates", APPS)
+def test_one_snapshot_restored_into_two_objects_shares_no_state(app_cls, updates):
+    """The shared-multicast case: every receiver restores the same snapshot
+    object, and mutating one receiver must not show through the other."""
+    source, reference = app_cls(), app_cls()
+    updates(source)
+    updates(reference)
+    snap = source.snapshot()
+    first, second = app_cls(), app_cls()
+    first.restore(snap)
+    second.restore(snap)
+    updates(first)
+    assert vars(first) != vars(reference)
+    assert vars(second) == vars(reference)
+    assert vars(source) == vars(reference)
 
 
 def test_snapshot_is_deep_copy():

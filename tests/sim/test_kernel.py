@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -180,7 +182,7 @@ def test_zero_delay_event_fires_at_current_time(sim, recorder):
 
 
 # ---------------------------------------------------------------------------
-# Tombstone compaction and event recycling
+# Tombstone compaction and fired-event handles
 # ---------------------------------------------------------------------------
 def test_mass_cancel_does_not_grow_heap_unboundedly(sim):
     """Timer-heavy regression: cancelled events must not linger in the heap
@@ -243,11 +245,15 @@ def test_compaction_preserves_ordering_and_determinism():
 
 def test_recycled_event_not_cancellable_through_stale_reference(sim, recorder):
     """A handle kept by a client must never alias a recycled event: firing
-    the original and cancelling it afterwards is a safe no-op."""
+    the original and cancelling it afterwards is a safe no-op, for the
+    schedule and for the tombstone accounting alike."""
     held = sim.schedule(1.0, recorder, "held")
     sim.schedule(2.0, recorder, "later")
     sim.run(until=1.5)
+    pending, tombstones = sim.pending(), sim.tombstones
     held.cancel()  # fired already; must not kill any newly scheduled event
+    assert sim.pending() == pending
+    assert sim.tombstones == tombstones
     follow = sim.schedule(1.0, recorder, "follow")
     assert follow is not held or follow.cancelled is False
     sim.run()
@@ -255,7 +261,8 @@ def test_recycled_event_not_cancellable_through_stale_reference(sim, recorder):
 
 
 def test_free_list_reuses_unreferenced_events(sim):
-    """Events nobody holds are recycled instead of reallocated."""
+    """Events nobody holds are released once fired; scheduling afterwards
+    yields a fresh, valid event (the kernel keeps no free list)."""
     for i in range(100):
         sim.schedule(float(i + 1), lambda: None)
     sim.run()
@@ -351,6 +358,8 @@ def test_schedule_batch_events_cancellable(sim, recorder):
 
 
 def test_schedule_batch_reuses_free_list(sim):
+    """A batch scheduled after earlier events fired gets fresh, valid
+    events that all fire (nothing is recycled from a free list)."""
     for i in range(50):
         sim.schedule(float(i + 1), lambda: None)
     sim.run()
@@ -358,3 +367,103 @@ def test_schedule_batch_reuses_free_list(sim):
     assert len(events) == 50
     sim.run()
     assert sim.events_processed == 100
+
+
+# ---------------------------------------------------------------------------
+# Ordering property: schedule_at, schedule_batch, cancel, compaction, run
+# ---------------------------------------------------------------------------
+_DT = st.integers(min_value=0, max_value=12).map(lambda k: k / 4)
+_PRIORITY = st.integers(min_value=-1, max_value=1)
+# Batch offsets: n values of ((a * i + b) mod 13) / 4, so a batch can be
+# large enough (with mass cancels) to cross the compaction threshold while
+# still spreading over the same tie-heavy quarter-second grid as _DT.
+_BATCH = st.builds(
+    lambda n, a, b: [((a * i + b) % 13) / 4 for i in range(n)],
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+_KERNEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _DT, _PRIORITY),
+        st.tuples(st.just("batch"), _BATCH, _PRIORITY),
+        st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        st.tuples(st.just("cancel_all_but"), st.integers(min_value=2, max_value=9)),
+        st.tuples(st.just("run"), _DT),
+    ),
+    min_size=6,
+    max_size=40,
+)
+
+
+@given(ops=_KERNEL_OPS)
+@example(
+    ops=[
+        ("batch", [k / 4 for k in range(13)] * 12, 0),
+        ("at", 0.5, -1),
+        ("run", 0.75),
+        ("cancel_all_but", 5),
+        ("batch", [0.0, 0.25, 0.25], 1),
+        ("run", 1.0),
+        ("cancel", 7),
+    ]
+)
+@settings(max_examples=150, deadline=None)
+def test_fired_order_matches_sorted_reference_under_interleaving(ops):
+    """Random interleavings of single and batched scheduling, cancels
+    (including mass cancels that force compaction and late cancels of
+    fired events) and bounded runs fire exactly what a sorted
+    ``(time, priority, seq)`` reference model fires, in the same order."""
+    sim = Simulator()
+    fired: list[int] = []
+    expected: list[int] = []
+    handles = []  # (event, reference key), in scheduling order
+    pending: dict[int, tuple[float, int, int]] = {}  # seq -> key
+
+    def add(event, time, priority):
+        key = (time, priority, len(handles))
+        handles.append((event, key))
+        pending[key[2]] = key
+
+    def cancel(index):
+        event, key = handles[index]
+        event.cancel()
+        pending.pop(key[2], None)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "at":
+            time = sim.now + op[1]
+            add(sim.schedule_at(time, fired.append, len(handles), priority=op[2]),
+                time, op[2])
+        elif kind == "batch":
+            times = [sim.now + dt for dt in op[1]]
+            first = len(handles)
+            events = sim.schedule_batch(
+                times, fired.append,
+                args_list=[(first + i,) for i in range(len(times))],
+                priority=op[2],
+            )
+            for event, time in zip(events, times):
+                add(event, time, op[2])
+        elif kind == "cancel" and handles:
+            cancel(op[1] % len(handles))
+        elif kind == "cancel_all_but":
+            for index in range(len(handles)):
+                if index % op[1]:
+                    cancel(index)
+        elif kind == "run":
+            until = sim.now + op[1]
+            due = sorted(key for key in pending.values() if key[0] <= until)
+            for key in due:
+                del pending[key[2]]
+            expected.extend(key[2] for key in due)
+            sim.run(until=until)
+        assert fired == expected
+        assert sim.pending() == len(pending)
+        assert sim.heap_size() == sim.pending() + sim.tombstones
+
+    expected.extend(key[2] for key in sorted(pending.values()))
+    sim.run()
+    assert fired == expected
+    assert sim.pending() == 0 and sim.tombstones == 0
