@@ -231,3 +231,52 @@ def test_static_grid_covers_the_ladder():
 @pytest.mark.slow
 def test_dry_run_controller_is_bit_identical_to_no_controller():
     assert check_bit_identity(seed=5, duration=3.0) == []
+
+
+# ---------------------------------------------------------------------------
+# Artifact schema (pinned: record order and key set per record kind)
+# ---------------------------------------------------------------------------
+@pytest.mark.slow
+def test_metrics_artifact_schema(tmp_path):
+    from repro.experiments import adaptive
+
+    results = adaptive.run_adaptive_suite([31], duration=3.0)
+    path = tmp_path / "adaptive.jsonl"
+    adaptive.write_metrics_artifact(str(path), results, [31])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    static = [f"static-{i}" for i in STATIC_GRID]
+    cell_modes = ["controller", *static, "chaos"]
+    assert [r["event"] for r in records] == (
+        ["meta"]
+        + ["cell"] * len(cell_modes)
+        + ["pooled"] * (1 + len(static))
+        + ["controller"] * 2
+        + ["timeline"] * len(cell_modes)
+    )
+    by_event: dict = {}
+    for record in records:
+        by_event.setdefault(record["event"], []).append(record)
+    assert set(by_event["meta"][0]) == {
+        "event", "experiment", "repro_version", "usable_cores", "seeds"
+    }
+    assert by_event["meta"][0]["experiment"] == "adaptive"
+    assert [r["mode"] for r in by_event["cell"]] == cell_modes
+    for record in by_event["cell"]:
+        assert set(record) == {
+            "event", "seed", "mode", "storms", "satisfaction", "compliance",
+            "cost_per_read", "score", "reads_judged", "rollbacks",
+            "relaxes", "final_relax_index", "violations",
+        }
+    assert [r["mode"] for r in by_event["pooled"]] == ["controller", *static]
+    for record in by_event["pooled"]:
+        assert set(record) == {"event", "mode", "score", "cells"}
+    assert [r["mode"] for r in by_event["controller"]] == [
+        "controller", "chaos"
+    ]
+    for record in by_event["controller"]:
+        assert set(record) == {"event", "seed", "mode", "decisions"}
+    assert [r["mode"] for r in by_event["timeline"]] == [
+        "controller", "chaos", *static
+    ]
+    for record in by_event["timeline"]:
+        assert set(record) == {"event", "mode", "timeline"}

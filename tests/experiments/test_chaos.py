@@ -172,3 +172,31 @@ def test_main_runs_and_saves(tmp_path, capsys):
     document = load_results(str(save))
     assert document["meta"]["experiment"] == "chaos"
     assert len(document["results"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Artifact schema (pinned: record order and key set per record kind)
+# ---------------------------------------------------------------------------
+def test_metrics_artifact_schema(tmp_path):
+    import json
+
+    results = run_chaos_suite([101], duration=3.0)
+    path = tmp_path / "chaos.jsonl"
+    chaos.write_metrics_artifact(str(path), results, [101])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["event"] for r in records] == [
+        "meta", "cell", "merged", "timeline"
+    ]
+    meta, cell, merged, timeline = records
+    assert set(meta) == {
+        "event", "experiment", "repro_version", "usable_cores", "seeds"
+    }
+    assert meta["experiment"] == "chaos"
+    assert meta["seeds"] == [101]
+    assert set(cell) == {
+        "event", "seed", "faults_injected", "violations", "metrics"
+    }
+    assert cell["seed"] == 101
+    assert set(merged) == {"event", "metrics"}
+    assert set(timeline) == {"event", "kind", "timeline"}
+    assert timeline["kind"] == "merged"
