@@ -23,8 +23,10 @@ processes; the tables are identical for any jobs value).
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.baselines.strategies import (
@@ -34,10 +36,11 @@ from repro.baselines.strategies import (
     RandomSingleSelection,
     RoundRobinSelection,
 )
+from repro.cli import run_command
 from repro.core.selection import SelectionStrategy, StateBasedSelection
 from repro.experiments.harness import Figure4Cell, run_figure4_cell
 from repro.experiments.report import format_table
-from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.experiments.runner import CellSpec, add_jobs_option, run_cells
 from repro.workloads.scenarios import build_paper_scenario
 
 
@@ -600,10 +603,15 @@ def _render_rows(title: str, rows: list[AblationRow]) -> str:
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--quick", action="store_true", help="shorter runs for every study"
+    )
+    add_jobs_option(parser)
+
+
+def run(args: argparse.Namespace) -> int:
+    quick, jobs = args.quick, args.jobs
     n = 150 if quick else 400
     print(_render_rows(
         "A1 — lazy update interval", lui_sweep(total_requests=n, jobs=jobs)
@@ -687,7 +695,11 @@ def main(argv: Optional[list[str]] = None) -> None:
             title="A8 — transient overload adaptivity",
         )
     )
+    return 0
+
+
+main = partial(run_command, "ablations")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

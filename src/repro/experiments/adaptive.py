@@ -47,27 +47,37 @@ exits non-zero on any violation.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import Dict, Optional
 
+from repro.cli import run_command
 from repro.core.controller import ControllerConfig, STATE_LEVELS
-from repro.experiments.report import format_table, render_report, save_results
-from repro.experiments.runner import CellSpec, run_cells
-from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Timeline
-from repro.sim.rng import seed_for
-from repro.sim.tracing import Trace
-from repro.workloads.scenarios import (
-    OPERATION_CLASSES,
-    build_operation_mix_scenario,
+from repro.experiments import campaign
+from repro.experiments.campaign import (
+    Campaign,
+    cell_records,
+    cell_violations,
+    chaos_targets,
+    counter_sum,
+    dump_trace,
+    event_lines,
+    of_mode,
+    pooled_records,
+    storm_chaos_config,
+    telemetry_report,
 )
+from repro.net.chaos import ChaosEngine
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.tracing import Trace
+from repro.workloads.scenarios import build_operation_mix_scenario
 
 WARMUP = 2.0
 DRAIN_GRACE = 5.0
+
+#: Arrival-rate multiplier range of the chaos cells' load storms.
+STORM_FACTOR = (10.0, 25.0)
 
 #: Static grid: the same knob-ladder indices the controller walks.
 STATIC_GRID = (0, 1, 2, 3)
@@ -112,21 +122,6 @@ ADAPTIVE_CONFIG = ControllerConfig(
 )
 
 
-def storm_chaos_config(duration: float) -> ChaosConfig:
-    """A storm-only fault mix for the guardrail-audit cells."""
-    return ChaosConfig(
-        duration=duration,
-        mean_interval=1.0,
-        crash_weight=0.0,
-        partition_weight=0.0,
-        overload_weight=0.0,
-        loss_weight=0.0,
-        load_storm_weight=1.0,
-        storm_window=(1.0, 2.5),
-        storm_factor=(10.0, 25.0),
-    )
-
-
 @dataclass
 class AdaptiveCellResult:
     """Outcome of one (seed, mode) campaign cell."""
@@ -160,16 +155,6 @@ class AdaptiveCellResult:
         if self.cost_per_read <= 0.0:
             return 0.0
         return self.satisfaction / self.cost_per_read
-
-
-def _counter_sum(snapshot: dict, name: str) -> int:
-    total = 0
-    for series, entry in snapshot.items():
-        if entry.get("type") != "counter":
-            continue
-        if series == name or series.startswith(name + "{"):
-            total += entry["value"]
-    return int(total)
 
 
 def satisfaction_from_signals(signals: Dict[str, Dict[str, float]]) -> float:
@@ -233,12 +218,8 @@ def run_adaptive_cell(
     if chaos:
         engine = ChaosEngine(
             network,
-            ChaosTargets(
-                primaries=tuple(p.name for p in service.primaries),
-                secondaries=tuple(s.name for s in service.secondaries),
-                protected=(service.primaries[0].name,),
-            ),
-            storm_chaos_config(duration),
+            chaos_targets(service),
+            storm_chaos_config(duration, STORM_FACTOR),
             rng=scenario.testbed.rng.stream("chaos.engine"),
             trace=trace,
             metrics=metrics,
@@ -262,9 +243,9 @@ def run_adaptive_cell(
     timeline = scenario.recorder.timeline()
     signals = scenario.engine.signals(timeline)
     snapshot = metrics.snapshot()
-    reads_judged = _counter_sum(snapshot, "client_reads_judged")
-    replicas_selected = _counter_sum(snapshot, "client_replicas_selected")
-    lazy_messages = _counter_sum(snapshot, "replica_lazy_updates_sent") * len(
+    reads_judged = counter_sum(snapshot, "client_reads_judged")
+    replicas_selected = counter_sum(snapshot, "client_replicas_selected")
+    lazy_messages = counter_sum(snapshot, "replica_lazy_updates_sent") * len(
         service.secondaries
     )
     cost = (
@@ -310,30 +291,17 @@ def run_adaptive_cell(
         final_relax_index=controller.relax_index if controller else static_relax,
         decisions=decisions,
         events=(
-            [f"t={e.time:.3f} {e.kind} {e.target}" for e in engine.events]
+            event_lines(engine)
             if engine is not None
             else [f"surge {s}-{e} x{f}" for s, e, f in SURGES]
         ),
         metrics=snapshot,
         timeline=timeline.to_dict(),
     )
-    if result.violations and trace_dir is not None:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"adaptive-seed{seed}-{mode}.trace"
-        with path.open("w") as fh:
-            for line in result.violations:
-                fh.write(f"VIOLATION {line}\n")
-            for d in decisions:
-                fh.write(f"DECISION {d}\n")
-            for record in trace.records:
-                fh.write(
-                    f"{record.time:.6f} {record.category} "
-                    f"{record.actor} {record.detail}\n"
-                )
-        (directory / f"adaptive-seed{seed}-{mode}.jsonl").write_text(
-            trace.to_jsonl()
-        )
+    dump_trace(
+        trace_dir, f"adaptive-seed{seed}-{mode}", trace, result.violations,
+        "DECISION", decisions,
+    )
     return result
 
 
@@ -487,59 +455,35 @@ def check_bit_identity(seed: int = 0, duration: float = 4.0) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Suite harness + CLI
+# Campaign spec
 # ---------------------------------------------------------------------------
-def run_adaptive_suite(
-    seeds: list[int],
-    duration: float = 12.0,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-) -> list[AdaptiveCellResult]:
-    """Controller + static grid + chaos audit for every seed."""
-    modes = ["controller"] + [f"static-{i}" for i in STATIC_GRID] + ["chaos"]
-    specs = [
-        CellSpec(
-            (seed, mode),
-            run_adaptive_cell,
-            {
-                "seed": seed,
-                "mode": mode,
-                "duration": duration,
-                "trace_dir": trace_dir,
-            },
-        )
-        for seed in seeds
-        for mode in modes
-    ]
-    return run_cells(specs, jobs=jobs, progress=True, label="adaptive")
-
-
 def pooled_score(results: list[AdaptiveCellResult], mode: str) -> float:
     """Mean satisfaction over mean cost for one mode's cells."""
-    cells = [r for r in results if r.mode == mode]
-    if not cells:
-        return 0.0
-    mean_sat = sum(r.satisfaction for r in cells) / len(cells)
-    mean_cost = sum(r.cost_per_read for r in cells) / len(cells)
-    if mean_cost <= 0.0:
-        return 0.0
-    return mean_sat / mean_cost
+    return _pooled(of_mode(results, mode))["score"]
+
+
+def _pooled(cells: list[AdaptiveCellResult]) -> dict:
+    score = 0.0
+    if cells:
+        mean_sat = sum(r.satisfaction for r in cells) / len(cells)
+        mean_cost = sum(r.cost_per_read for r in cells) / len(cells)
+        if mean_cost > 0.0:
+            score = mean_sat / mean_cost
+    return {"score": score, "cells": len(cells)}
 
 
 def suite_violations(results: list[AdaptiveCellResult]) -> list[str]:
     """Cell violations + the cross-mode score acceptance check."""
-    violations = [
-        f"seed {r.seed} [{r.mode}]: {v}" for r in results for v in r.violations
-    ]
+    violations = cell_violations(results)
     controller_score = pooled_score(results, "controller")
-    for i in STATIC_GRID:
-        static_score = pooled_score(results, f"static-{i}")
+    for mode in STATIC_MODES:
+        static_score = pooled_score(results, mode)
         if controller_score + 1e-9 < static_score:
             violations.append(
                 f"score: controller {controller_score:.4f} below "
-                f"static-{i} {static_score:.4f}"
+                f"{mode} {static_score:.4f}"
             )
-    chaos_cells = [r for r in results if r.mode == "chaos"]
+    chaos_cells = of_mode(results, "chaos")
     if chaos_cells and not any(r.rollbacks > 0 for r in chaos_cells):
         violations.append(
             "guardrails: no chaos cell ever rolled back — the audit is vacuous"
@@ -547,168 +491,81 @@ def suite_violations(results: list[AdaptiveCellResult]) -> list[str]:
     return violations
 
 
-def summarize(results: list[AdaptiveCellResult]) -> str:
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.seed,
-                r.mode,
-                r.storms,
-                f"{r.satisfaction:.4f}",
-                f"{r.cost_per_read:.2f}",
-                f"{r.score:.4f}",
-                f"{r.relaxes}/{r.rollbacks}",
-                r.final_relax_index,
-                "CLEAN" if r.clean else f"{len(r.violations)} VIOLATIONS",
-            ]
-        )
-    table = format_table(
-        [
-            "seed", "mode", "storms", "satisfaction", "cost/read", "score",
-            "relax/rollbk", "idx", "verdict",
-        ],
-        rows,
-        title="adaptive campaign (controller vs. static grid)",
-    )
-    lines = [table, ""]
-    lines.append("pooled scores (satisfaction / cost-per-read):")
-    for mode in ["controller"] + [f"static-{i}" for i in STATIC_GRID]:
+def _gate(results: list[AdaptiveCellResult]) -> list[str]:
+    """The suite gate plus the dry-run bit-identity check on the first seed."""
+    return suite_violations(results) + check_bit_identity(seed=results[0].seed)
+
+
+def _report(results: list[AdaptiveCellResult]) -> str:
+    """Pooled scores, then the closed-loop cells' telemetry."""
+    lines = ["pooled scores (satisfaction / cost-per-read):"]
+    for mode in ("controller",) + STATIC_MODES:
         lines.append(f"  {mode:<12} {pooled_score(results, mode):.4f}")
-    merged = MetricsRegistry.merge(
-        *(
-            r.metrics
-            for r in results
-            if r.mode in ("controller", "chaos") and r.metrics
-        )
+    closed_loop = [r for r in results if r.mode in ("controller", "chaos")]
+    return "\n".join(lines) + "\n\n" + telemetry_report(
+        closed_loop, "closed-loop cell telemetry"
     )
-    lines.append("")
-    lines.append(
-        render_report(metrics=merged, title="closed-loop cell telemetry")
+
+
+CELL_FIELDS = (
+    "seed", "mode", "storms", "satisfaction", "compliance", "cost_per_read",
+    "score", "reads_judged", "rollbacks", "relaxes", "final_relax_index",
+    "violations",
+)
+
+
+def _records(results: list[AdaptiveCellResult]) -> list[dict]:
+    """Cells, pooled scores, then the controller decision logs."""
+    logs = [
+        {
+            "event": "controller",
+            "seed": r.seed,
+            "mode": r.mode,
+            "decisions": r.decisions,
+        }
+        for r in results
+        if r.decisions
+    ]
+    return (
+        cell_records(results, CELL_FIELDS)
+        + pooled_records(results, ("controller",) + STATIC_MODES, _pooled)
+        + logs
     )
-    return "\n".join(lines)
 
 
-def write_metrics_artifact(
-    path: str, results: list[AdaptiveCellResult], seeds: list[int]
-) -> None:
-    """JSONL artifact: cells, pooled scores, controller decision logs, and
-    per-mode merged timelines (``repro dash`` input)."""
-    from repro.experiments.report import write_experiment_artifact
+STATIC_MODES = tuple(f"static-{i}" for i in STATIC_GRID)
 
-    records: list[dict] = []
-    for r in results:
-        records.append(
-            {
-                "event": "cell",
-                "seed": r.seed,
-                "mode": r.mode,
-                "storms": r.storms,
-                "satisfaction": r.satisfaction,
-                "compliance": r.compliance,
-                "cost_per_read": r.cost_per_read,
-                "score": r.score,
-                "reads_judged": r.reads_judged,
-                "rollbacks": r.rollbacks,
-                "relaxes": r.relaxes,
-                "final_relax_index": r.final_relax_index,
-                "violations": r.violations,
-            }
-        )
-    for mode in ["controller"] + [f"static-{i}" for i in STATIC_GRID]:
-        records.append(
-            {
-                "event": "pooled",
-                "mode": mode,
-                "score": pooled_score(results, mode),
-                "cells": sum(1 for r in results if r.mode == mode),
-            }
-        )
-    for r in results:
-        if r.decisions:
-            records.append(
-                {
-                    "event": "controller",
-                    "seed": r.seed,
-                    "mode": r.mode,
-                    "decisions": r.decisions,
-                }
-            )
-    for mode in ("controller", "chaos") + tuple(
-        f"static-{i}" for i in STATIC_GRID
-    ):
-        timelines = [
-            Timeline.from_dict(r.timeline)
-            for r in results
-            if r.mode == mode and r.timeline is not None
-        ]
-        if timelines:
-            records.append(
-                {
-                    "event": "timeline",
-                    "mode": mode,
-                    "timeline": Timeline.merge(*timelines).to_dict(),
-                }
-            )
-    write_experiment_artifact(path, "adaptive", records, seeds=seeds)
+ADAPTIVE = Campaign(
+    name="adaptive",
+    cell=run_adaptive_cell,
+    seeds=3,
+    duration=12.0,
+    quick=(2, 8.0),
+    modes=("controller",) + STATIC_MODES + ("chaos",),
+    timeline_modes=("controller", "chaos") + STATIC_MODES,
+    title="adaptive campaign (controller vs. static grid)",
+    columns=(
+        ("seed", lambda r: r.seed),
+        ("mode", lambda r: r.mode),
+        ("storms", lambda r: r.storms),
+        ("satisfaction", lambda r: f"{r.satisfaction:.4f}"),
+        ("cost/read", lambda r: f"{r.cost_per_read:.2f}"),
+        ("score", lambda r: f"{r.score:.4f}"),
+        ("relax/rollbk", lambda r: f"{r.relaxes}/{r.rollbacks}"),
+        ("idx", lambda r: r.final_relax_index),
+    ),
+    report=_report,
+    records=_records,
+    violations=_gate,
+)
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=3, help="campaigns per mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--duration", type=float, default=12.0)
-    parser.add_argument("--quick", action="store_true", help="2 seeds x 8s")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any invariant, identity, or score violation",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--save", type=str, default=None)
-    parser.add_argument(
-        "--metrics-out", type=str, default=None, help="write telemetry as JSONL"
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help="dump the full trace of any violating cell here",
-    )
-    args = parser.parse_args(argv)
-
-    count = 2 if args.quick else args.seeds
-    duration = 8.0 if args.quick else args.duration
-    seeds = [seed_for(args.seed, "adaptive", i) for i in range(count)]
-    results = run_adaptive_suite(
-        seeds, duration=duration, jobs=args.jobs, trace_dir=args.trace_dir
-    )
-    print(summarize(results))
-
-    violations = suite_violations(results)
-    violations.extend(check_bit_identity(seed=seeds[0]))
-    for line in violations:
-        print(f"VIOLATION {line}", file=sys.stderr)
-
-    if args.save:
-        save_results(
-            args.save,
-            [r.__dict__ for r in results],
-            meta={
-                "experiment": "adaptive",
-                "seeds": seeds,
-                "duration": duration,
-                "violations": violations,
-            },
-        )
-    if args.metrics_out:
-        write_metrics_artifact(args.metrics_out, results, seeds)
-        print(f"telemetry written to {args.metrics_out}")
-
-    if args.check and violations:
-        return 1
-    return 0
+run_adaptive_suite = partial(campaign.run_suite, ADAPTIVE)
+summarize = partial(campaign.summarize, ADAPTIVE)
+write_metrics_artifact = partial(campaign.write_artifact, ADAPTIVE)
+add_arguments = partial(campaign.add_arguments, ADAPTIVE)
+run = partial(campaign.run, ADAPTIVE)
+main = partial(run_command, "adaptive")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -19,8 +19,8 @@ operator (or a reviewer) would ask for:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.core.client import ClientHandler
 from repro.core.requests import ReadOutcome

@@ -23,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.cli import run_command
 from repro.experiments.report import format_table
 
 #: Metric-name suffixes whose value regresses when it goes UP (costs).
@@ -134,11 +136,8 @@ def update_baselines(
     return written
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     repo_root = Path(__file__).resolve().parents[3]
-    parser = argparse.ArgumentParser(
-        prog="repro bench-diff", description=__doc__.split("\n\n")[0]
-    )
     parser.add_argument(
         "--current",
         type=Path,
@@ -163,8 +162,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         action="store_true",
         help="refresh the baselines from the current results and exit",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     current = load_bench_files(args.current)
     if not current:
         print(
@@ -207,6 +207,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     print("\nno regressions past the gate")
     return 0
+
+
+main = partial(run_command, "bench-diff")
 
 
 if __name__ == "__main__":

@@ -32,9 +32,11 @@ import html as html_escape
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cli import run_command
 from repro.experiments.report import format_table
 from repro.obs.slo import (
     SloEngine,
@@ -485,10 +487,14 @@ def export_html(
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro dash", description=__doc__.split("\n\n")[0]
-    )
+def _key_value(text: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"needs KEY=VALUE, got {text!r}")
+    key, _, value = text.partition("=")
+    return key, value
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "input", help="JSONL artifact with timeline records "
         "(--metrics-out/--timeline-out output)"
@@ -496,6 +502,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--select",
         action="append",
+        type=_key_value,
         default=[],
         metavar="KEY=VALUE",
         help="pick the timeline record matching this field "
@@ -506,7 +513,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="objective for the auto-derived SLOs (default 0.9)",
     )
     parser.add_argument(
-        "--staleness-bound", type=float, default=None, metavar="SECONDS",
+        "--staleness-bound", type=float, metavar="SECONDS",
         help="also evaluate a staleness SLO at this bound",
     )
     parser.add_argument("--width", type=int, default=60)
@@ -514,24 +521,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--top", type=int, default=16, help="series rows to show"
     )
     parser.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
+        "--watch", type=float, metavar="SECONDS",
         help="re-read the artifact at this wall-clock cadence",
     )
     parser.add_argument(
-        "--iterations", type=int, default=None,
+        "--iterations", type=int,
         help="stop --watch after this many renders (default: run forever)",
     )
     parser.add_argument(
         "--html", metavar="PATH", help="write a self-contained HTML report"
     )
-    args = parser.parse_args(argv)
 
-    select: Dict[str, str] = {}
-    for item in args.select:
-        if "=" not in item:
-            parser.error(f"--select needs KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        select[key] = value
+
+def run(args: argparse.Namespace) -> int:
+    select: Dict[str, str] = dict(args.select)
 
     def render_once() -> Optional[str]:
         meta, records = load_timeline_records(args.input)
@@ -593,6 +596,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KeyboardInterrupt:
         pass
     return 0
+
+
+main = partial(run_command, "dash")
 
 
 if __name__ == "__main__":

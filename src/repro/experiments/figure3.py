@@ -17,11 +17,18 @@ Run: ``python -m repro.experiments.figure3``
 
 from __future__ import annotations
 
+import argparse
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
 
+from repro.cli import run_command
 from repro.experiments.harness import SelectionOverheadResult, measure_selection_overhead
-from repro.experiments.report import format_table
+from repro.experiments.report import (
+    add_output_arguments,
+    format_table,
+    save_results,
+)
 
 REPLICA_COUNTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 WINDOW_SIZES = (10, 20)
@@ -229,28 +236,26 @@ def render(result: Figure3Result) -> str:
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    import sys
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_output_arguments(parser)
 
-    argv = sys.argv[1:] if argv is None else argv
+
+def run(args: argparse.Namespace) -> int:
     result = run_figure3()
     print(render(result))
     print()
     print(render_cache_comparison(run_cache_comparison()))
-    if "--save" in argv:
-        from repro.experiments.report import save_results
-
-        path = argv[argv.index("--save") + 1]
+    if args.save:
         save_results(
-            path,
+            args.save,
             sorted(result.points.values(), key=lambda p: (p.window_size, p.num_replicas)),
             meta={"experiment": "figure3"},
         )
-        print(f"\nsaved to {path}")
-    if "--metrics-out" in argv:
-        path = argv[argv.index("--metrics-out") + 1]
-        write_metrics_artifact(path, result)
-        print(f"\ntelemetry written to {path}")
+        print(f"\nsaved to {args.save}")
+    if args.metrics_out:
+        write_metrics_artifact(args.metrics_out, result)
+        print(f"\ntelemetry written to {args.metrics_out}")
+    return 0
 
 
 def write_metrics_artifact(path: str, result: Figure3Result) -> None:
@@ -280,5 +285,8 @@ def write_metrics_artifact(path: str, result: Figure3Result) -> None:
     write_jsonl(path, records)
 
 
+main = partial(run_command, "figure3")
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,10 +20,13 @@ worker processes; results are identical for any jobs value).
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
+from repro.cli import run_command
 from repro.core.selection import SelectionStrategy
 from repro.experiments.harness import (
     Figure4Cell,
@@ -31,8 +34,14 @@ from repro.experiments.harness import (
     run_figure4_cell,
     unpack_figure4_cell,
 )
-from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.experiments.report import (
+    add_output_arguments,
+    format_series,
+    format_table,
+    merge_timelines,
+    save_results,
+)
+from repro.experiments.runner import CellSpec, add_jobs_option, run_cells
 
 DEADLINES_MS = (80, 100, 120, 140, 160, 180, 200, 220)
 PROBABILITIES = (0.9, 0.5)
@@ -170,16 +179,7 @@ def merged_timeline(result: Figure4Result):
     align and the merge is the exact cross-worker/cross-cell total —
     identical for any jobs value.
     """
-    from repro.obs.timeseries import Timeline
-
-    timelines = [
-        Timeline.from_dict(c.timeline)
-        for c in result.cells.values()
-        if c.timeline is not None
-    ]
-    if not timelines:
-        return None
-    return Timeline.merge(*timelines)
+    return merge_timelines(c.timeline for c in result.cells.values())
 
 
 def write_metrics_artifact(
@@ -274,13 +274,16 @@ def render(result: Figure4Result) -> str:
     return "\n\n".join(blocks)
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
-    metrics_out = None
-    if "--metrics-out" in argv:
-        metrics_out = argv[argv.index("--metrics-out") + 1]
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--quick", action="store_true", help="3 deadlines x 200 requests"
+    )
+    add_output_arguments(parser)
+    add_jobs_option(parser)
+
+
+def run(args: argparse.Namespace) -> int:
+    quick, jobs, metrics_out = args.quick, args.jobs, args.metrics_out
     result = run_figure4(
         deadlines_ms=(100, 160, 220) if quick else DEADLINES_MS,
         total_requests=200 if quick else 1000,
@@ -295,17 +298,18 @@ def main(argv: Optional[list[str]] = None) -> None:
             metrics_out, result, meta={"quick": quick, "seed": 0}
         )
         print(f"\ntelemetry written to {metrics_out}")
-    if "--save" in argv:
-        from repro.experiments.report import save_results
-
-        path = argv[argv.index("--save") + 1]
+    if args.save:
         save_results(
-            path,
+            args.save,
             [result.cells[key] for key in sorted(result.cells)],
             meta={"experiment": "figure4", "quick": quick},
         )
-        print(f"\nsaved to {path}")
+        print(f"\nsaved to {args.save}")
+    return 0
+
+
+main = partial(run_command, "figure4")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,6 @@ Two kinds of measurement, matching the paper's §6:
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.obs.timeseries import Timeline
 
 
 def format_table(
@@ -180,6 +184,15 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def merge_timelines(payloads: Iterable[Optional[dict]]) -> Optional[Timeline]:
+    """Merge ``Timeline.to_dict()`` payloads (``None`` entries skipped)
+    into one Timeline; ``None`` when there is nothing to merge."""
+    from repro.obs.timeseries import Timeline
+
+    timelines = [Timeline.from_dict(p) for p in payloads if p is not None]
+    return Timeline.merge(*timelines) if timelines else None
+
+
 def run_metadata(
     experiment: str,
     seed: Any = None,
@@ -234,6 +247,25 @@ def write_experiment_artifact(
 
     head = run_metadata(experiment, seed=seed, config=config, **extra)
     return write_jsonl(path, [head, *records])
+
+
+def add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--save PATH`` (:func:`save_results`) and ``--metrics-out
+    PATH`` (:func:`write_experiment_artifact`)."""
+    parser.add_argument("--save", metavar="PATH", help="write results as JSON")
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
+    )
+
+
+def comma_ints(text: str) -> tuple[int, ...]:
+    """Argparse type for ``N,M,...`` lists of integers."""
+    try:
+        return tuple(int(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
 
 
 def save_results(path: str | Path, payload: Any, meta: dict | None = None) -> Path:

@@ -29,18 +29,28 @@ Run: ``python -m repro.experiments.scale [--validate] [--smoke]`` or via
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.cli import run_command
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.experiments.harness import Figure4Cell
-from repro.experiments.report import format_table
-from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.experiments.report import (
+    add_output_arguments,
+    comma_ints,
+    format_table,
+    merge_timelines,
+    save_results,
+    write_experiment_artifact,
+)
+from repro.experiments.runner import CellSpec, add_jobs_option, run_cells
 from repro.sim.rng import Normal
 from repro.stats.confidence import binomial_confidence_interval, proportions_agree
 from repro.workloads.aggregate import AggregatedClientPool, PopulationSpec
@@ -616,8 +626,6 @@ def _as_payload(result_v, result_s, meta):
 
 def _collect_timelines(result_v, result_s) -> list[tuple[str, dict]]:
     """``(kind, merged Timeline.to_dict())`` per campaign section."""
-    from repro.obs.timeseries import Timeline
-
     out: list[tuple[str, dict]] = []
     groups = []
     if result_v is not None:
@@ -627,33 +635,49 @@ def _collect_timelines(result_v, result_s) -> list[tuple[str, dict]]:
     if result_s is not None:
         groups.append(("surface", list(result_s.cells.values())))
     for kind, cells in groups:
-        timelines = [
-            Timeline.from_dict(c.timeline)
-            for c in cells
-            if c.timeline is not None
-        ]
-        if timelines:
-            out.append((kind, Timeline.merge(*timelines).to_dict()))
+        merged = merge_timelines(c.timeline for c in cells)
+        if merged is not None:
+            out.append((kind, merged.to_dict()))
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    validate = "--validate" in argv
-    smoke = "--smoke" in argv
-    quick = "--quick" in argv
-    check = "--check" in argv
-    jobs = add_jobs_argument(argv)
-    seed = 0
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    users_list = list(SCALE_USERS)
-    if "--users" in argv:
-        users_list = [
-            int(u) for u in argv[argv.index("--users") + 1].split(",")
-        ]
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--validate",
+        action="store_true",
+        help="compare aggregate vs discrete at N=100/1000 (Wilson overlap)",
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="CI shape: short N=100 validation + one 1M-user cell",
+    )
+    parser.add_argument("--quick", action="store_true", help="shorter cells")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit non-zero on disagreement or a blown wall-clock budget",
+    )
+    parser.add_argument(
+        "--users",
+        type=comma_ints,
+        default=SCALE_USERS,
+        metavar="N,M,...",
+        help="comma-separated population sizes for the scaling surface",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="root seed")
+    add_output_arguments(parser)
+    add_jobs_option(parser)
+
+
+def run(args: argparse.Namespace) -> int:
+    validate, smoke, quick, check = (
+        args.validate, args.smoke, args.quick, args.check
+    )
+    jobs, seed = args.jobs, args.seed
+    users_list = list(args.users)
     # Record 1 s-tick timelines only when an artifact will carry them.
-    timeseries = 1.0 if "--metrics-out" in argv else None
+    timeseries = 1.0 if args.metrics_out else None
 
     result_v = None
     result_s = None
@@ -714,21 +738,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             print()
         print(render_surface(result_s))
 
-    if "--save" in argv:
-        from repro.experiments.report import save_results
-
-        path = argv[argv.index("--save") + 1]
+    if args.save:
         meta = {
             "experiment": "scale", "seed": seed, "quick": quick,
             "smoke": smoke, "validate": validate,
         }
-        save_results(path, _as_payload(result_v, result_s, meta))
-        print(f"\nsaved to {path}")
+        save_results(args.save, _as_payload(result_v, result_s, meta))
+        print(f"\nsaved to {args.save}")
 
-    if "--metrics-out" in argv:
-        from repro.experiments.report import write_experiment_artifact
-
-        path = argv[argv.index("--metrics-out") + 1]
+    if args.metrics_out:
         payload = _as_payload(result_v, result_s, {})
         records = [
             {"event": section, **payload[section]}
@@ -740,10 +758,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 {"event": "timeline", "kind": kind, "timeline": timelines}
             )
         write_experiment_artifact(
-            path, "scale", records, seed=seed,
+            args.metrics_out, "scale", records, seed=seed,
             quick=quick, smoke=smoke, validate=validate,
         )
-        print(f"telemetry written to {path}")
+        print(f"telemetry written to {args.metrics_out}")
 
     if failures:
         for line in failures:
@@ -752,6 +770,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if check:
         print("\nall checks passed")
     return 0
+
+
+main = partial(run_command, "scale")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional
 
+from repro.cli import run_command
 from repro.experiments.report import render_report
 from repro.obs.calibration import CalibrationTracker
 from repro.obs.export import metrics_event, prometheus_text, write_jsonl
@@ -91,10 +93,7 @@ def run_instrumented_cell(
     return metrics, calibration, scenario
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro metrics", description=__doc__.split("\n\n")[0]
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deadline-ms", type=int, default=200)
     parser.add_argument("--pc", type=float, default=0.9, help="P_c target")
     parser.add_argument("--lui", type=float, default=2.0, help="lazy interval, s")
@@ -107,7 +106,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--watch",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="print counter deltas at this simulated-time interval",
     )
@@ -128,7 +126,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         action="store_true",
         help="exit 1 unless the model-based strategy is well calibrated",
     )
-    args = parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
 
     requests = 150 if args.quick else args.requests
     # --watch gets the recorder at the watch cadence for free; otherwise
@@ -233,6 +233,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         print(f"\ncalibration check passed for strategy {strategy!r}")
     return 0
+
+
+main = partial(run_command, "metrics")
 
 
 if __name__ == "__main__":

@@ -25,20 +25,19 @@ Run: ``python -m repro.experiments.validation [--quick] [--jobs N]``
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
+from repro.cli import run_command
 from repro.core.qos import QoSSpec
 from repro.core.selection import StateBasedSelection
 from repro.core.service import ServiceConfig, build_testbed
-from repro.core.staleness import (
-    PoissonStalenessModel,
-    RateMixtureStalenessModel,
-    StalenessModel,
-)
+from repro.core.staleness import RateMixtureStalenessModel, StalenessModel
 from repro.experiments.report import format_table
-from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.experiments.runner import CellSpec, add_jobs_option, run_cells
 from repro.sim.rng import Normal
 from repro.workloads.generators import BurstyUpdater, OpenLoopUpdater, PeriodicReader
 
@@ -241,10 +240,15 @@ def _staleness_cell(
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--quick", action="store_true", help="shorter calibration runs"
+    )
+    add_jobs_option(parser)
+
+
+def run(args: argparse.Namespace) -> int:
+    quick, jobs = args.quick, args.jobs
     duration = 120.0 if quick else 240.0
 
     studies = [
@@ -276,7 +280,11 @@ def main(argv: Optional[list[str]] = None) -> None:
         ],
         title="Hot-spot avoidance (§5.3): read-load balance",
     ))
+    return 0
+
+
+main = partial(run_command, "validation")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

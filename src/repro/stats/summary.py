@@ -73,7 +73,12 @@ class RunningSummary:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100]."""
+    """Linear-interpolated percentile, ``q`` in [0, 100].
+
+    The fault campaigns use the nearest-rank
+    :func:`repro.experiments.campaign.percentile` (``q`` in [0, 1], +inf
+    on an empty sample) instead; their p99 gates are defined on it.
+    """
     if not values:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:

@@ -6,10 +6,9 @@ import json
 import pytest
 
 from repro.experiments import overload
+from repro.experiments.campaign import effective_latency, percentile
 from repro.experiments.overload import (
     OverloadCellResult,
-    effective_latency,
-    percentile,
     run_overload_cell,
     run_overload_suite,
     suite_violations,

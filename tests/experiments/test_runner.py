@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     CellError,
     CellSpec,
     SweepProgress,
-    add_jobs_argument,
     available_cpus,
     resolve_chunk_size,
     resolve_jobs,
@@ -239,42 +238,6 @@ def test_dead_worker_raises_instead_of_hanging():
         run_cells(specs, jobs=2)
     healthy = [CellSpec(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
     assert run_cells(healthy, jobs=2) == [i * i for i in range(4)]
-
-
-# ---------------------------------------------------------------------------
-# --jobs flag parsing
-# ---------------------------------------------------------------------------
-def test_add_jobs_argument_forms():
-    assert add_jobs_argument([]) == 1
-    assert add_jobs_argument(["--quick"]) == 1
-    assert add_jobs_argument(["--jobs", "4"]) == 4
-    assert add_jobs_argument(["--jobs=8", "--quick"]) == 8
-    assert add_jobs_argument(["--quick", "--jobs", "0"]) == 0
-    assert add_jobs_argument(["--jobs=0"]) == 0
-
-
-def test_add_jobs_argument_missing_value():
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--quick", "--jobs"])
-
-
-def test_add_jobs_argument_rejects_garbage():
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs", "-1"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs=-4"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs", "two"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs="])
-
-
-def test_add_jobs_argument_duplicate_flags_last_wins():
-    assert add_jobs_argument(["--jobs", "2", "--jobs", "6"]) == 6
-    assert add_jobs_argument(["--jobs=2", "--quick", "--jobs", "3"]) == 3
-    assert add_jobs_argument(["--jobs", "4", "--jobs=0"]) == 0
 
 
 # ---------------------------------------------------------------------------
