@@ -1,8 +1,10 @@
 """JSONL artifact checks run by the CI smoke matrix.
 
-Usage: ``python .github/smoke_checks.py <check> <artifact.jsonl>`` where
-``<check>`` is one of metrics, overload, adaptive, gray.  Each check
-asserts the shape and the headline verdict of one smoke artifact.
+Usage: ``python .github/smoke_checks.py <check> <artifact.jsonl>...``
+where ``<check>`` is one of metrics, overload, adaptive, gray, which
+assert the shape and the headline verdict of one smoke artifact, or
+figure4_parity, which takes the ``--jobs 1`` and ``--jobs 2`` artifacts
+of the same sweep and requires them to be equal.
 """
 
 import json
@@ -66,9 +68,35 @@ def gray(records):
           f"{pooled['baseline']['p99']:.4f}s")
 
 
+#: Figure-3 selection overhead is timed with the host's wall clock, so it
+#: is the one series allowed to differ between two runs of the same sweep.
+WALLCLOCK_PREFIX = "client_selection_overhead_seconds"
+
+
+def _drop_wallclock(value):
+    if isinstance(value, dict):
+        return {k: _drop_wallclock(v) for k, v in value.items()
+                if not k.startswith(WALLCLOCK_PREFIX)}
+    if isinstance(value, list):
+        return [_drop_wallclock(v) for v in value]
+    return value
+
+
+def figure4_parity(serial, parallel):
+    # Compare JSON text, not parsed values: 0 == 0.0 in Python, but an int
+    # turned float on its way through a worker is a parity break.
+    assert len(serial) == len(parallel), (len(serial), len(parallel))
+    for i, (a, b) in enumerate(zip(serial, parallel)):
+        assert (json.dumps(_drop_wallclock(a))
+                == json.dumps(_drop_wallclock(b))), (
+            f"record {i} ({a.get('event')}) differs between --jobs levels")
+    print(f"ok: {len(serial)} records equal across --jobs levels")
+
+
 CHECKS = {"metrics": metrics, "overload": overload, "adaptive": adaptive,
-          "gray": gray}
+          "gray": gray, "figure4_parity": figure4_parity}
 
 if __name__ == "__main__":
-    check, path = sys.argv[1:]
-    CHECKS[check]([json.loads(line) for line in open(path)])
+    check, *paths = sys.argv[1:]
+    CHECKS[check](*[[json.loads(line) for line in open(path)]
+                    for path in paths])

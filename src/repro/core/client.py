@@ -161,7 +161,6 @@ class ClientHandler(GroupEndpoint):
         quantum: float = 1e-3,
         default_qos: Optional[QoSSpec] = None,
         has_sequencer: bool = True,
-        use_prediction_cache: bool = True,
         charge_selection_overhead: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         gc_timeout: float = 30.0,
@@ -191,7 +190,6 @@ class ClientHandler(GroupEndpoint):
             lazy_update_interval,
             quantum=quantum,
             staleness_model=staleness_model,
-            use_cache=use_prediction_cache,
             metrics=self.metrics,
             metrics_labels={"client": name},
         )

@@ -57,6 +57,7 @@ from repro.sim.tracing import NULL_TRACE, Trace
 
 _ASSIGNMENT_CACHE = 8192  # bounded memory for request-id -> GSN bindings
 _RECENT_COMMITS = 2048  # bounded tail used for failover catch-up
+_SYNC_TIMEOUT = 0.3  # seconds a sequencer sync or state transfer may take
 
 
 class SequentialReplicaHandler(ReplicaHandlerBase):
@@ -73,7 +74,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         lazy_update_interval: float = 2.0,
         lazy_controller: Optional["AdaptiveLazyController"] = None,
         gsn_wait_timeout: float = 0.25,
-        sync_timeout: float = 0.3,
         trace: Trace = NULL_TRACE,
         publish_performance: bool = True,
         heartbeat_interval: float = 0.25,
@@ -103,7 +103,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self.lazy_update_interval = lazy_update_interval
         self.lazy_controller = lazy_controller
         self.gsn_wait_timeout = gsn_wait_timeout
-        self.sync_timeout = sync_timeout
 
         # T_L actuation precedence (DESIGN.md §16): the configured base,
         # an optional open-loop recommendation (lazy_controller), and an
@@ -807,7 +806,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             SequencerSyncRequest(self.name, self._sync_id),
             size_bytes=64,
         )
-        self.sim.schedule(self.sync_timeout, self._finish_sync, self._sync_id)
+        self.sim.schedule(_SYNC_TIMEOUT, self._finish_sync, self._sync_id)
         self.trace.emit(self.now, "sequencer.sync-start", self.name, sync_id=self._sync_id)
 
     def _local_sync_reply(self, sync_id: int) -> SequencerSyncReply:
@@ -949,7 +948,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # members it does not (yet) see in its primary view, the chosen
         # donor may itself be recovering, and the sequencer can fail over
         # mid-transfer (retries re-resolve the current leader).
-        self.sim.schedule(self.sync_timeout, self._request_state_transfer, xfer_id)
+        self.sim.schedule(_SYNC_TIMEOUT, self._request_state_transfer, xfer_id)
 
     def _on_state_transfer_request(self, request: StateTransferRequest) -> None:
         if not self.is_sequencer:
@@ -1082,7 +1081,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         )
 
     def _gap_delay(self) -> float:
-        """Watchdog period: fixed ``2·sync_timeout``, or adaptive.
+        """Watchdog period: fixed ``2·_SYNC_TIMEOUT``, or adaptive.
 
         With the detector enabled the period follows the observed
         GSN-broadcast cadence (mean + k·σ of inter-arrival times,
@@ -1090,7 +1089,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         frozen commit frontier in a fraction of the fixed window while
         an idle one does not cry wolf between sparse updates.
         """
-        fallback = 2 * self.sync_timeout
+        fallback = 2 * _SYNC_TIMEOUT
         if self.detector is None:
             return fallback
         return self.detector.adaptive_timeout("gsn-assign", fallback)

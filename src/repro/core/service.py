@@ -440,7 +440,6 @@ def build_testbed(
     latency: Optional[LatencyModel] = None,
     app_factory: Callable[[], ReplicatedObject] = CounterObject,
     trace: Optional[Trace] = None,
-    membership_config: Optional[MembershipConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
     calibration: Optional[CalibrationTracker] = None,
 ) -> Testbed:
@@ -452,11 +451,9 @@ def build_testbed(
     rng = RngRegistry(seed)
     network = Network(sim, rng, latency or LanLatency(), trace=trace, metrics=metrics)
     membership = MembershipService(
-        config=membership_config
-        or MembershipConfig(
+        config=MembershipConfig(
             heartbeat_interval=config.heartbeat_interval,
             suspect_timeout=config.suspect_timeout,
-            sweep_interval=config.heartbeat_interval,
         ),
         trace=trace,
     )

@@ -46,7 +46,6 @@ from repro.experiments.report import (
     write_experiment_artifact,
 )
 from repro.experiments.runner import CellSpec, add_jobs_option, run_cells
-from repro.groups.membership import MembershipConfig
 from repro.net.chaos import ChaosConfig, ChaosTargets
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.rng import Normal, seed_for
@@ -283,9 +282,6 @@ def build_campaign_testbed(
         seed=seed,
         trace=trace,
         metrics=metrics,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
 
 

@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 
 from repro.cli import run_command
 from repro.core.selection import SelectionStrategy
-from repro.experiments.harness import (
-    Figure4Cell,
-    pack_figure4_cell,
-    run_figure4_cell,
-    unpack_figure4_cell,
-)
+from repro.experiments.harness import Figure4Cell, run_figure4_cell
 from repro.experiments.report import (
     add_output_arguments,
     format_series,
@@ -113,7 +108,7 @@ def run_figure4(
     serial loop bit for bit, and the chunked parallel path is pinned to
     it by property tests.  The sweep-wide kwargs travel once per worker
     (``common=``), each spec carries only its grid coordinates, and
-    telemetry-bearing cells return through the compact snapshot codec.
+    telemetry-bearing cells return as plain pickles.
     """
     common = dict(
         total_requests=total_requests,
@@ -144,8 +139,6 @@ def run_figure4(
         label="figure4",
         chunk_size=chunk_size,
         common=common,
-        encode=pack_figure4_cell,
-        decode=unpack_figure4_cell,
     )
     result = Figure4Result()
     for spec, cell in zip(specs, cells):

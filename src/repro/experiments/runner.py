@@ -31,10 +31,13 @@ This version removes both costs:
   over ``k`` cells.  Results are reassembled in spec order regardless of
   chunking or completion order, and the chunk size only affects wall
   clock, never results.
-* **Compact returns.**  Optional ``encode``/``decode`` hooks run on the
-  worker/parent side of the boundary so bulky results (telemetry
-  snapshots) cross the pipe as flat byte payloads instead of nested
-  dicts — see :func:`repro.obs.metrics.encode_snapshot`.
+* **Plain returns.**  Results, telemetry included, cross the pipe as
+  plain pickles of the dicts and dataclasses the cell returns.  A
+  hand-rolled binary codec for metrics snapshots and timelines once sat
+  on this path; measured on a Figure-4 cell it was 3-6x slower to dump
+  and load than ``pickle`` and its payload was up to 3x larger, so there
+  is one transport and no hook.  Pickle keeps ints as ints and floats as
+  floats, which is what ``jobs=1 == jobs=N`` needs.
 
 Unchanged invariants:
 
@@ -243,13 +246,12 @@ def _worker_init(token: Optional[str], common: Optional[dict]) -> None:
 def _run_chunk(
     token: Optional[str],
     items: Sequence[tuple[int, Callable[..., Any], dict]],
-    encode: Optional[Callable[[Any], Any]],
 ) -> list[tuple[int, bool, Any]]:
     """Worker entry point: run a chunk of cells, tagging each result.
 
     Each element of the returned list is ``(index, ok, payload)`` where
-    ``payload`` is the (optionally encoded) result on success or the
-    formatted remote traceback on failure.  Exceptions never propagate
+    ``payload`` is the result on success or the formatted remote
+    traceback on failure.  Exceptions never propagate
     through the executor machinery, so one bad cell cannot poison the
     other results of its chunk nor obscure which cell failed.
     """
@@ -258,8 +260,6 @@ def _run_chunk(
     for index, fn, kwargs in items:
         try:
             value = fn(**{**common, **kwargs}) if common else fn(**kwargs)
-            if encode is not None:
-                value = encode(value)
             out.append((index, True, value))
         except Exception:
             out.append((index, False, traceback.format_exc()))
@@ -342,8 +342,6 @@ def run_cells(
     label: str = "sweep",
     chunk_size: Optional[int] = None,
     common: Optional[dict] = None,
-    encode: Optional[Callable[[Any], Any]] = None,
-    decode: Optional[Callable[[Any], Any]] = None,
 ) -> list[Any]:
     """Run every cell and return results in spec order.
 
@@ -355,12 +353,7 @@ def run_cells(
 
     ``common`` holds kwargs shared by every cell; it is shipped once per
     worker (not per cell) and merged under each spec's kwargs, with the
-    spec winning on collision.  ``encode`` runs on each result inside the
-    worker and ``decode`` on the parent — a matched pair turns bulky
-    results into flat payloads for the trip home.  Both must be
-    module-level callables; neither runs on the serial path, so a codec
-    must round-trip exactly for ``jobs=1 == jobs=N`` to hold (the
-    property tests enforce this).
+    spec winning on collision.
     """
     jobs = resolve_jobs(jobs)
     reporter = SweepProgress(len(specs), label=label, enabled=progress)
@@ -385,7 +378,7 @@ def run_cells(
         # Submission stays inside the guard: a worker dying mid-loop makes
         # the *next* submit raise BrokenProcessPool too.
         for chunk_items in chunks:
-            futures.add(pool.submit(_run_chunk, token, chunk_items, encode))
+            futures.add(pool.submit(_run_chunk, token, chunk_items))
         while futures:
             finished, futures = wait(futures, return_when=FIRST_COMPLETED)
             for future in finished:
@@ -393,7 +386,7 @@ def run_cells(
                 for index, ok, payload in chunk_results:
                     if not ok:
                         raise CellError(keys[index], payload)
-                    results[index] = decode(payload) if decode is not None else payload
+                    results[index] = payload
                 reporter.update(len(chunk_results))
     except BrokenProcessPool as exc:
         # A worker died without reporting (segfault, OOM-kill, os._exit):

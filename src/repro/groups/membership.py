@@ -81,19 +81,19 @@ class ViewChangeMsg:
 
 @dataclass
 class MembershipConfig:
-    """Tuning knobs for the failure detector."""
+    """Tuning knobs for the failure detector.
+
+    The service sweeps for silent members at the heartbeat cadence.
+    """
 
     heartbeat_interval: float = 0.25
     suspect_timeout: float = 1.0
-    sweep_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.suspect_timeout <= self.heartbeat_interval:
             raise ValueError("suspect_timeout must exceed heartbeat_interval")
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
 
 
 class MembershipService(Endpoint):
@@ -133,7 +133,7 @@ class MembershipService(Endpoint):
         self._schedule_sweep()
 
     def _schedule_sweep(self) -> None:
-        self.sim.schedule(self.config.sweep_interval, self._sweep)
+        self.sim.schedule(self.config.heartbeat_interval, self._sweep)
 
     # ------------------------------------------------------------------
     # Queries

@@ -79,6 +79,10 @@ def test_campaign_testbed_core_and_targets():
         config.heartbeat_interval, config.suspect_timeout,
         config.gsn_wait_timeout,
     ) == (0.1, 0.35, 0.15)
+    membership = testbed.membership.config
+    assert (membership.heartbeat_interval, membership.suspect_timeout) == (
+        0.1, 0.35,
+    )
     targets = chaos_targets(testbed.service, sequencer="seq")
     primaries = [p.name for p in testbed.service.primaries]
     assert targets.primaries == tuple(primaries)

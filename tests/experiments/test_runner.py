@@ -56,10 +56,6 @@ def _concat(a, b):
     return f"{a}|{b}"
 
 
-def _stamp(x):
-    return ("encoded", x)
-
-
 # ---------------------------------------------------------------------------
 # CellSpec / run_cells basics
 # ---------------------------------------------------------------------------
@@ -181,32 +177,6 @@ def test_warm_pool_reused_for_same_common_config():
 
 
 # ---------------------------------------------------------------------------
-# encode/decode hooks
-# ---------------------------------------------------------------------------
-def test_encode_decode_hooks_applied_on_parallel_path():
-    specs = [CellSpec(key=i, fn=_square, kwargs={"x": i}) for i in range(5)]
-
-    def decode(payload):
-        tag, value = payload
-        assert tag == "encoded"
-        return value
-
-    assert run_cells(specs, jobs=2, encode=_stamp, decode=decode) == [
-        i * i for i in range(5)
-    ]
-
-
-def test_serial_path_never_invokes_codec():
-    """jobs=1 is the exact historical loop: no worker, no codec."""
-
-    def explode(_):
-        raise AssertionError("codec ran on the serial path")
-
-    specs = [CellSpec(key=0, fn=_square, kwargs={"x": 3})]
-    assert run_cells(specs, jobs=1, encode=_stamp, decode=explode) == [9]
-
-
-# ---------------------------------------------------------------------------
 # Worker-crash handling
 # ---------------------------------------------------------------------------
 def test_cell_error_carries_key_and_remote_traceback():
@@ -281,8 +251,8 @@ def test_seed_for_independent_of_evaluation_order():
 
 
 # ---------------------------------------------------------------------------
-# Figure 4 end-to-end: jobs=1 and jobs=4 are identical (ISSUE 2 property,
-# extended to chunked dispatch and the telemetry codec by ISSUE 6)
+# Figure 4 end-to-end: jobs=1 and jobs=4 are identical, also under
+# chunked dispatch and with telemetry on
 # ---------------------------------------------------------------------------
 def test_run_figure4_parallel_identical_to_serial():
     kwargs = dict(

@@ -2,8 +2,8 @@
 
 Covers the observability acceptance criteria: recorder-off purity (the
 telemetry path must not perturb results), parallel-runner determinism
-(modulo the one wall-clock series), the cell codec round trip, the
-merged-timeline artifact, and per-read staleness-attribution additivity.
+(modulo the one wall-clock series), the merged-timeline artifact, and
+per-read staleness-attribution additivity.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from repro.experiments.figure4 import (
     run_figure4,
     write_metrics_artifact,
 )
-from repro.experiments.harness import (
-    pack_figure4_cell,
-    run_figure4_cell,
-    unpack_figure4_cell,
-)
+from repro.experiments.harness import run_figure4_cell
 from repro.obs.timeseries import Timeline
 from repro.sim.tracing import Trace
 from repro.workloads.scenarios import build_paper_scenario
@@ -89,15 +85,6 @@ def test_timeline_totals_match_cell_summary(quick_cell_with_timeline):
     assert judged >= cell.reads
 
 
-def test_pack_unpack_round_trips_timeline(quick_cell_with_timeline):
-    cell = quick_cell_with_timeline
-    packed = pack_figure4_cell(cell)
-    assert isinstance(packed.timeline, bytes)
-    unpacked = unpack_figure4_cell(packed)
-    assert unpacked.timeline == cell.timeline
-    assert unpacked == cell
-
-
 @pytest.mark.slow
 def test_parallel_runner_merges_identical_timelines(tmp_path):
     kwargs = dict(
@@ -138,6 +125,27 @@ def test_parallel_runner_merges_identical_timelines(tmp_path):
     assert payload["kind"] == "merged"
     restored = Timeline.from_dict(payload["timeline"])
     assert _strip_wallclock(restored) == _strip_wallclock(merged)
+
+
+@pytest.mark.slow
+def test_parallel_runner_keeps_timeline_value_types():
+    """``0 == 0.0``, so compare reprs: a worker must not turn ints to floats."""
+    kwargs = dict(
+        deadlines_ms=[80, 200],
+        probabilities=[0.5],
+        lazy_intervals=[4.0],
+        total_requests=60,
+        seed=11,
+        timeseries=1.0,
+    )
+    serial = run_figure4(jobs=1, **kwargs)
+    parallel = run_figure4(jobs=2, **kwargs)
+    for key in serial.cells:
+        a = _strip_wallclock(Timeline.from_dict(serial.cells[key].timeline))
+        b = _strip_wallclock(
+            Timeline.from_dict(parallel.cells[key].timeline)
+        )
+        assert repr(a.to_dict()) == repr(b.to_dict()), key
 
 
 def test_attribution_components_sum_to_observed_staleness():

@@ -44,8 +44,6 @@ def test_config_validation():
         MembershipConfig(heartbeat_interval=0.0)
     with pytest.raises(ValueError):
         MembershipConfig(heartbeat_interval=1.0, suspect_timeout=0.5)
-    with pytest.raises(ValueError):
-        MembershipConfig(sweep_interval=0.0)
 
 
 # ---------------------------------------------------------------------------
