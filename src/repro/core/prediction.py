@@ -169,8 +169,8 @@ class ResponseTimePredictor:
         cdf evaluations, so a steady-state caller gets the previously
         convolved distributions back without recomputation.  This is the
         sampling substrate of the aggregated client tier: one pmf pair per
-        selected replica, then vectorized inverse-CDF draws for the whole
-        arrival batch.
+        selected replica, combined into the batch's first-reply pmf
+        (:class:`~repro.stats.pmf.FirstReply`).
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:

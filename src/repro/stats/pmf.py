@@ -179,10 +179,9 @@ class DiscretePmf:
         """Draw ``n`` i.i.d. values from the pmf (inverse-CDF on the grid).
 
         One uniform vector and one ``searchsorted`` against the cached
-        cumulative array — the vectorized sampling primitive the
-        aggregated client tier uses to realize response times for whole
-        arrival batches at once.  Each draw is a grid value, i.e. exactly
-        a value :meth:`quantile` could return.
+        cumulative array.  Each draw is a grid value, i.e. exactly a value
+        :meth:`quantile` could return.  (The aggregated client tier draws
+        whole batches' first replies through :class:`FirstReply` instead.)
         """
         if n < 0:
             raise ValueError(f"negative sample count {n!r}")
@@ -245,6 +244,89 @@ class DiscretePmf:
             f"support=[{self.support_min:.4f}, {self.support_max:.4f}], "
             f"mean={self.mean():.4f})"
         )
+
+
+class FirstReply:
+    """The first reply among independent replicas, as one joint pmf.
+
+    A read sent to replicas ``X_1 .. X_k`` (independent grid variables,
+    in selection order) is answered at ``T = min_j X_j``; ties go to the
+    earliest replica in selection order.  ``deferred[j]`` marks replicas
+    whose reply is a deferred one, and the read counts as deferred iff
+    such a replica sent the first reply.  On the common grid,
+
+        P(T = t, winner = j) = p_j(t) · Π_{i<j} P(X_i > t) · Π_{i>j} P(X_i ≥ t)
+
+    — prefix products of ``P(X_i > t)`` and suffix products of
+    ``P(X_i ≥ t)``, so building the pmf costs O(k·L) for a grid of ``L``
+    bins.  :attr:`mass` row 0 sums the replicas with ``deferred`` False,
+    row 1 those with it True.  With no replicas the read is never
+    answered: :meth:`sample` returns infinite times and draws nothing.
+    """
+
+    __slots__ = ("quantum", "offset", "mass", "_cum")
+
+    def __init__(
+        self, pmfs: Sequence[DiscretePmf], deferred: Sequence[bool]
+    ) -> None:
+        if len(pmfs) != len(deferred):
+            raise ValueError("one deferred flag per pmf")
+        self.quantum = pmfs[0].quantum if pmfs else DEFAULT_QUANTUM
+        for pmf in pmfs:
+            if abs(pmf.quantum - self.quantum) > 1e-15:
+                raise ValueError(f"quantum mismatch: {self.quantum} vs {pmf.quantum}")
+        self._cum: Optional[np.ndarray] = None
+        if not pmfs:
+            self.offset = 0
+            self.mass = np.zeros((2, 0))
+            return
+        # Past the earliest support end some replica has surely replied.
+        low = min(p.offset for p in pmfs)
+        bins = min(p.offset + p.mass.size for p in pmfs) - low
+        k = len(pmfs)
+        own = np.zeros((k, bins))
+        at_least = np.ones((k, bins + 1))  # P(X_j >= low + i), i = 0..bins
+        for j, pmf in enumerate(pmfs):
+            start = pmf.offset - low
+            if start >= bins:
+                continue  # starts after someone surely replied: never first
+            tail = np.cumsum(pmf.mass[::-1])[::-1]
+            take = min(tail.size, bins + 1 - start)
+            at_least[j, start:start + take] = tail[:take]
+            at_least[j, start + take:] = 0.0
+            size = min(pmf.mass.size, bins - start)
+            own[j, start:start + size] = pmf.mass[:size]
+        beyond = at_least[:, 1:]  # P(X_j > t)
+        at_least = at_least[:, :-1]
+        before = np.ones((k, bins))
+        np.cumprod(beyond[:-1], axis=0, out=before[1:])
+        after = np.ones((k, bins))
+        after[:-1] = np.cumprod(at_least[:0:-1], axis=0)[::-1]
+        joint = own * before * after
+        flags = np.asarray(deferred, dtype=bool)
+        self.offset = low
+        self.mass = np.stack((joint[~flags].sum(axis=0), joint[flags].sum(axis=0)))
+
+    def sample(
+        self, n: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` i.i.d. ``(first-reply time, deferred)`` pairs, one uniform each.
+
+        Inverse CDF over the two rows of :attr:`mass` laid end to end:
+        one ``searchsorted`` per value, whatever the replica count.
+        """
+        if n < 0:
+            raise ValueError(f"negative sample count {n!r}")
+        bins = self.mass.shape[1]
+        if bins == 0:
+            return np.full(n, np.inf), np.zeros(n, dtype=bool)
+        cum = self._cum
+        if cum is None:
+            cum = np.cumsum(self.mass.ravel())
+            cum /= cum[-1]  # cum[-1] == 1.0 exactly, so no index overruns
+            self._cum = cum
+        row, index = np.divmod(np.searchsorted(cum, rng.random(n), side="right"), bins)
+        return (self.offset + index) * self.quantum, row.astype(bool)
 
 
 # Combined operand size (in bins) above which a pairwise convolution goes

@@ -21,10 +21,21 @@ region) population, exploiting two classical results:
 Per batch the pool runs replica selection (Algorithm 1) **once** over the
 shared gateway's candidate views, then realizes all outcomes with
 vectorized numpy draws: a correlated freshness Bernoulli per arrival
-(one lazy multicast refreshes the whole secondary group), inverse-CDF
-response-time draws per selected replica, and a min-reduce for the
-first-reply time.  Results are folded into the ordinary ``client_*``
-telemetry through :meth:`ClientHandler.record_aggregate_batch`.
+(one lazy multicast refreshes the whole secondary group), then **one**
+inverse-CDF draw per arrival from the exact joint pmf of (first-reply
+time, winner is a deferred secondary) — :class:`~repro.stats.pmf.FirstReply`,
+built once per batch for fresh arrivals (every replica's immediate pmf)
+and once for stale ones (secondaries' deferred pmfs).  That is the
+§5 first-reply quantity Algorithm 1 selects by, ``1 − Π(1 − F_i(d))``;
+ties go to the earliest replica in selection order.  Results are folded
+into the ordinary ``client_*`` telemetry through
+:meth:`ClientHandler.record_aggregate_batch`.
+
+After the draws the pool advances its PCG64 stream by ``m·(k − 1)``
+values (``m`` arrivals, ``k`` selected replicas with history): the
+position it would reach drawing every replica's reply separately.  So
+arrival counts, offsets, the probe schedule and all discrete traffic
+depend on the seed alone, not on how the first reply is sampled.
 
 A small *probe* subsample per batch is issued as real discrete requests —
 these keep the load-bearing machinery alive: sliding windows, gateway
@@ -53,6 +64,7 @@ from repro.core.qos import QoSSpec
 from repro.core.requests import ReadOutcome
 from repro.sim.kernel import Simulator
 from repro.sim.rng import seed_for
+from repro.stats.pmf import FirstReply
 from repro.stats.poisson import poisson_cdf
 from repro.workloads.generators import ArrivalRateController
 
@@ -434,31 +446,34 @@ class AggregatedClientPool:
         p_fresh = self._poisson_cdf_many(qos.staleness_threshold, update_rate * t_l)
         fresh = rng.random(m) < p_fresh
 
-        response = np.full(m, np.inf)
-        deferred_win = np.zeros(m, dtype=bool)
+        # One draw per arrival from the exact first-reply distribution:
+        # fresh arrivals race every selected replica's immediate pmf, stale
+        # ones race primaries' immediate and secondaries' deferred pmfs.
+        # Selection order matters: ties go to the earlier-selected replica.
         view_by_name = {view.name: view for view in views}
-        n_fresh = int(np.count_nonzero(fresh))
+        immediates, stale_pmfs, secondary = [], [], []
         for name in selected:
             view = view_by_name[name]
             immediate, deferred = predictor.response_pmfs(name)
             if immediate is None:
                 continue  # no history yet: this replica contributes no reply
-            if view.is_primary:
-                draws = immediate.sample(m, rng)
-                was_deferred = None
-            else:
-                draws = np.empty(m, dtype=float)
-                if n_fresh:
-                    draws[fresh] = immediate.sample(n_fresh, rng)
-                if m - n_fresh:
-                    draws[~fresh] = deferred.sample(m - n_fresh, rng)
-                was_deferred = ~fresh
-            better = draws < response
-            response[better] = draws[better]
-            if was_deferred is None:
-                deferred_win[better] = False
-            else:
-                deferred_win[better] = was_deferred[better]
+            immediates.append(immediate)
+            stale_pmfs.append(immediate if view.is_primary else deferred)
+            secondary.append(not view.is_primary)
+        n_fresh = int(np.count_nonzero(fresh))
+        fresh_times, _ = FirstReply(immediates, [False] * len(immediates)).sample(
+            n_fresh, rng
+        )
+        stale_times, deferred_win = FirstReply(stale_pmfs, secondary).sample(
+            m - n_fresh, rng
+        )
+        # Drawing every selected replica would take one uniform per arrival
+        # per replica; skipping the difference leaves the stream where
+        # those draws would, so arrival counts, offsets and probes do not
+        # depend on how the first reply is sampled.
+        if len(immediates) > 1:
+            rng.bit_generator.advance(m * (len(immediates) - 1))
+        response = np.concatenate((fresh_times, stale_times))
 
         resolved = np.isfinite(response)
         unresolved = m - int(np.count_nonzero(resolved))

@@ -272,8 +272,8 @@ def test_run_figure4_parallel_identical_to_serial():
 @pytest.mark.parametrize("chunk_size", [1, 2, 4])
 def test_run_figure4_chunked_identical_to_serial(chunk_size):
     """Chunked dispatch at every chunk size reproduces the serial cells
-    bit for bit — including the telemetry that rides through the compact
-    snapshot codec (the wall-clock overhead histogram is excluded, as in
+    bit for bit — including the telemetry that crosses the worker boundary
+    as plain pickles (the wall-clock overhead histogram is excluded, as in
     test_metrics_merge, because it times real CPU work)."""
 
     def drop_wall_clock(snapshot):
